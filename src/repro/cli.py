@@ -90,12 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--fs1-mode",
-            choices=["bitsliced", "vector", "naive"],
+            choices=["bitsliced", "naive"],
             default="bitsliced",
-            help="FS1 scan engine: columnar big-int bit-sliced index, "
-            "the uint64 word-array vector engine (numpy-accelerated "
-            "when available), or the per-entry naive loop "
-            "(default: bitsliced)",
+            help="FS1 scan engine: columnar big-int bit-sliced index or "
+            "the per-entry naive loop (default: bitsliced)",
         )
         sub.add_argument(
             "--fs2-mode",
@@ -130,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--fs1-mode",
-        choices=["bitsliced", "vector", "naive"],
+        choices=["bitsliced", "naive"],
         default="bitsliced",
     )
     serve.add_argument(

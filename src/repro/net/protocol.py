@@ -31,6 +31,7 @@ to the in-process one — the loopback differential suite relies on it.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
@@ -235,6 +236,24 @@ class _Writer:
         self.blob16(value.encode("utf-8"))
 
 
+def _typed(read):
+    """Surface any failure of ``read`` on malformed bytes as
+    :class:`ProtocolError` — the one error type a peer's payload may
+    raise, so callers can drop the connection on it and nothing else."""
+
+    @functools.wraps(read)
+    def typed_read(*args):
+        try:
+            return read(*args)
+        except ProtocolError:
+            raise
+        # PIFDecodeError and UnicodeDecodeError are ValueErrors too.
+        except (ValueError, IndexError, KeyError) as exc:
+            raise ProtocolError(f"corrupt payload: {exc!r}") from None
+
+    return typed_read
+
+
 class _Reader:
     __slots__ = ("data", "pos")
 
@@ -268,6 +287,7 @@ class _Reader:
     def blob16(self) -> bytes:
         return self._take(self.u16())
 
+    @_typed
     def text(self) -> str:
         return self.blob16().decode("utf-8")
 
@@ -350,24 +370,29 @@ class PayloadEncoder:
 
 
 class PayloadDecoder:
-    """The reading side of :class:`PayloadEncoder`."""
+    """The reading side of :class:`PayloadEncoder`.
 
+    Every variable-length read is :func:`_typed` (fixed-width fields
+    raise :class:`ProtocolError` on truncation already), so malformed
+    bytes fail every ``decode_*`` helper with ``ProtocolError`` only.
+    """
+
+    @_typed
     def __init__(self, payload: bytes) -> None:
         if len(payload) < 4:
             raise ProtocolError("truncated payload")
         table_len = int.from_bytes(payload[:4], "big")
         if 4 + table_len > len(payload):
             raise ProtocolError("truncated symbol table")
-        try:
-            self.symbols = SymbolTable.from_bytes(payload[4 : 4 + table_len])
-        except (IndexError, ValueError, UnicodeDecodeError) as exc:
-            raise ProtocolError(f"corrupt symbol table: {exc}") from None
+        self.symbols = SymbolTable.from_bytes(payload[4 : 4 + table_len])
         self.body = _Reader(payload[4 + table_len :])
         self._decoder = PIFDecoder(self.symbols)
 
+    @_typed
     def goal(self) -> Term:
         return self._decoder.decode_term(self._encoded_args())
 
+    @_typed
     def clause(self) -> Clause:
         from ..pif.clausefile import decode_compiled
 

@@ -22,16 +22,13 @@ Segment directory layout (one per shard), a superset of the
   record instead of a parse walk;
 * ``<stem>.index`` — the horizontal SCW+MB index image
   (:meth:`~repro.scw.index.SecondaryIndexFile.to_bytes`);
-* ``<stem>.cols`` — the bit-sliced columns: a ``u32×5`` header
-  (entries, bytes per column, columns, planes, flags) followed by the
-  packed column and plane integers (:meth:`~repro.scw.bitsliced.
-  BitSlicedIndex.packed_columns`).  Flags bit 0 records that the
-  columns are 64-bit word aligned; since little-endian zero padding is
-  value-preserving, the *same* bytes rebuild either the big-int
-  :class:`~repro.scw.bitsliced.BitSlicedIndex` (one ``int.from_bytes``
-  per column) or the word-array :class:`~repro.scw.vector.
-  VectorSlicedIndex` (one ``np.frombuffer`` over the whole image,
-  zero-copy) — no clause decoding, no re-hashing either way.
+* ``<stem>.cols`` — the bit-sliced columns: a ``u32×4`` header
+  (entries, bytes per column, columns, planes) followed by the packed
+  column and plane integers (:meth:`~repro.scw.bitsliced.
+  BitSlicedIndex.packed_columns`), ``ceil(entries/8)`` bytes each.
+  Attach rebuilds the :class:`~repro.scw.bitsliced.BitSlicedIndex`
+  with one ``int.from_bytes`` per column — no clause decoding, no
+  re-hashing.
 
 Mutability: segments are immutable.  A worker that must mutate a
 predicate first *materialises* it — decodes the shared records into a
@@ -54,9 +51,8 @@ from ..obs import Instrumentation
 from ..pif import ClauseFile, CompiledClause, SymbolTable
 from ..pif.clausefile import decode_compiled, next_generation
 from ..scw import CodewordScheme, SecondaryIndexFile
-from ..scw.bitsliced import BitSlicedIndex
+from ..scw.bitsliced import BitSlicedIndex, column_bytes
 from ..scw.codeword import Codeword
-from ..scw.vector import VectorSlicedIndex
 from ..scw.index import ADDRESS_BYTES, IndexEntry
 from ..storage import KnowledgeBase
 from ..storage.kb import PredicateStore
@@ -74,10 +70,7 @@ __all__ = [
 
 _MANIFEST = "manifest.txt"
 _SYMBOLS = "symbols.bin"
-_COLS_HEADER = struct.Struct("<IIIII")
-#: flags bit 0: column_bytes is a multiple of 8, so the packed image can
-#: be attached directly as ``uint64`` word rows (vector FS1 zero-copy).
-_COLS_FLAG_WORD_ALIGNED = 1
+_COLS_HEADER = struct.Struct("<IIII")
 _ADDR_COUNT = struct.Struct("<I")
 _ADDR_PAIR = struct.Struct("<II")
 
@@ -137,16 +130,10 @@ def write_segments(kb: KnowledgeBase, directory: str | pathlib.Path) -> list[str
         (path / f"{stem}.index").write_bytes(store.index.to_bytes())
         written.append(f"{stem}.index")
 
-        sliced = store.index.bitsliced
-        column_bytes, columns, planes = sliced.packed_columns()
-        flags = _COLS_FLAG_WORD_ALIGNED if column_bytes % 8 == 0 else 0
+        nbytes, columns, planes = store.index.bitsliced.packed_columns()
         cols = (
             _COLS_HEADER.pack(
-                count,
-                column_bytes,
-                len(columns) // column_bytes,
-                len(planes) // column_bytes,
-                flags,
+                count, nbytes, len(columns) // nbytes, len(planes) // nbytes
             )
             + columns
             + planes
@@ -278,27 +265,22 @@ class SharedIndex:
         indicator: tuple[str, int],
         image: memoryview,
         addresses: list[int],
-        entries: int,
-        column_bytes: int,
-        columns: memoryview,
-        planes: memoryview,
+        packed: tuple[int, memoryview, memoryview],
     ):
         self.scheme = scheme
         self.indicator = indicator
         self._image = image
         self._addresses = addresses
-        self._entries = entries
-        self._column_bytes = column_bytes
-        self._columns_view = columns
-        self._planes_view = planes
+        #: (bytes per column, columns, planes) of the checked ``.cols``
+        #: image, as :meth:`BitSlicedIndex.from_packed` takes them.
+        self._packed = packed
         self._bitsliced: BitSlicedIndex | None = None
-        self._vector: VectorSlicedIndex | None = None
 
     def __len__(self) -> int:
-        return self._entries
+        return len(self._addresses)
 
     def __iter__(self) -> Iterator[IndexEntry]:
-        for position in range(self._entries):
+        for position in range(len(self)):
             yield self.entry_at(position)
 
     def entry_at(self, position: int) -> IndexEntry:
@@ -325,32 +307,9 @@ class SharedIndex:
     def bitsliced(self) -> BitSlicedIndex:
         if self._bitsliced is None:
             self._bitsliced = BitSlicedIndex.from_packed(
-                self.scheme,
-                self._addresses,
-                self._column_bytes,
-                self._columns_view,
-                self._planes_view,
+                self.scheme, self._addresses, *self._packed
             )
         return self._bitsliced
-
-    @property
-    def vector(self) -> VectorSlicedIndex:
-        """The word-array columnar view over the same packed image.
-
-        Word-aligned segments attach zero-copy (``np.frombuffer`` over
-        the mmap slice when numpy is importable); legacy unaligned
-        images are zero-padded per column first — value-preserving for
-        little-endian integers, so scans stay bit-identical.
-        """
-        if self._vector is None:
-            self._vector = VectorSlicedIndex.from_packed(
-                self.scheme,
-                self._addresses,
-                self._column_bytes,
-                self._columns_view,
-                self._planes_view,
-            )
-        return self._vector
 
     def scan(self, query: Codeword) -> list[int]:
         matches = self.scheme.matches
@@ -359,7 +318,7 @@ class SharedIndex:
         ]
 
     def size_bytes(self) -> int:
-        return self._entries * self.scheme.entry_bytes(ADDRESS_BYTES)
+        return len(self) * self.scheme.entry_bytes(ADDRESS_BYTES)
 
     def to_bytes(self) -> bytes:
         return bytes(self._image)
@@ -475,6 +434,10 @@ def attach_kb(
         clauses_view = kb._map_file(path / f"{stem}.clauses")
 
         addr_image = (path / f"{stem}.addr").read_bytes()
+        if len(addr_image) != _ADDR_COUNT.size + count * _ADDR_PAIR.size:
+            raise SegmentError(
+                f"{stem}.addr: {len(addr_image)} bytes for {count} records"
+            )
         (declared,) = _ADDR_COUNT.unpack_from(addr_image, 0)
         if declared != count:
             raise SegmentError(
@@ -489,33 +452,18 @@ def attach_kb(
             lengths.append(length)
 
         index_view = kb._map_file(path / f"{stem}.index")
-        cols_view = kb._map_file(path / f"{stem}.cols")
-        entries, column_bytes, n_columns, n_planes, flags = (
-            _COLS_HEADER.unpack_from(cols_view, 0)
+        if len(index_view) != count * scheme.entry_bytes(ADDRESS_BYTES):
+            raise SegmentError(
+                f"{stem}.index: {len(index_view)} bytes for {count} entries"
+            )
+        packed = _cols_image(
+            kb._map_file(path / f"{stem}.cols"), stem, count, scheme
         )
-        if entries != count:
-            raise SegmentError(
-                f"{stem}.cols: {entries} entries, manifest says {count}"
-            )
-        if flags & _COLS_FLAG_WORD_ALIGNED and column_bytes % 8:
-            raise SegmentError(
-                f"{stem}.cols: word-aligned flag set but columns are "
-                f"{column_bytes} bytes"
-            )
-        body = cols_view[_COLS_HEADER.size :]
-        columns_end = n_columns * column_bytes
         shared_file = SharedClauseFile(
             indicator, kb.symbols, clauses_view, addresses, lengths
         )
         shared_index = SharedIndex(
-            scheme,
-            indicator,
-            index_view,
-            addresses,
-            entries,
-            column_bytes,
-            body[:columns_end],
-            body[columns_end : columns_end + n_planes * column_bytes],
+            scheme, indicator, index_view, addresses, packed
         )
         kb._predicates[indicator] = PredicateStore(
             indicator=indicator,
@@ -526,3 +474,28 @@ def attach_kb(
         )
         kb.module(module_name).add_procedure(indicator)
     return kb
+
+
+def _cols_image(
+    view: memoryview, stem: str, count: int, scheme: CodewordScheme
+) -> tuple[int, memoryview, memoryview]:
+    """(bytes per column, columns, planes) of a ``.cols`` image, checked
+    against the manifest's record count and the scheme width, so a
+    short or foreign image fails here rather than mid-scan."""
+    if len(view) < _COLS_HEADER.size:
+        raise SegmentError(f"{stem}.cols: truncated header")
+    entries, nbytes, n_columns, n_planes = _COLS_HEADER.unpack_from(view, 0)
+    if entries != count or nbytes != column_bytes(count):
+        raise SegmentError(
+            f"{stem}.cols: {entries} entries of {nbytes}-byte columns, "
+            f"manifest says {count} entries"
+        )
+    if n_columns != scheme.width:
+        raise SegmentError(
+            f"{stem}.cols: {n_columns} columns, scheme width is {scheme.width}"
+        )
+    body = view[_COLS_HEADER.size :]
+    columns_end = n_columns * nbytes
+    if len(body) != columns_end + n_planes * nbytes:
+        raise SegmentError(f"{stem}.cols: body is {len(body)} bytes")
+    return nbytes, body[:columns_end], body[columns_end:]

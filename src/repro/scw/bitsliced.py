@@ -31,7 +31,12 @@ from typing import Iterable, Iterator, Sequence
 
 from .codeword import Codeword, CodewordScheme
 
-__all__ = ["BitSlicedIndex"]
+__all__ = ["BitSlicedIndex", "column_bytes"]
+
+
+def column_bytes(entries: int) -> int:
+    """Bytes per packed column (or mask plane) of an ``entries``-entry index."""
+    return max(1, (entries + 7) // 8)
 
 
 def _bit_positions(value: int) -> Iterable[int]:
@@ -83,17 +88,12 @@ class BitSlicedIndex:
         """(bytes per column, columns image, planes image).
 
         The serialised form of the columnar index: each column (and each
-        mask plane) as a little-endian fixed-width integer of
-        ``ceil(N/64)`` 64-bit words.  Word alignment keeps the image
-        byte-compatible with :class:`~repro.scw.vector.VectorSlicedIndex`
-        (zero-padding a little-endian integer is value-preserving), so
-        an attacher can view the same mmap'd bytes as big ints *or* as
-        ``uint64`` word arrays via ``np.frombuffer`` — no re-packing.
-        Written once into a shared segment; attaching rebuilds the
-        index with :meth:`from_packed` by slicing the mmap — no clause
-        decoding, no re-hashing.
+        mask plane) as a little-endian integer of :func:`column_bytes`
+        bytes.  Written once into a shared segment; attaching rebuilds
+        the index with :meth:`from_packed` by slicing the mmap — no
+        clause decoding, no re-hashing.
         """
-        nbytes = max(1, (len(self._addresses) + 63) // 64) * 8
+        nbytes = column_bytes(len(self._addresses))
         columns = b"".join(c.to_bytes(nbytes, "little") for c in self._columns)
         planes = b"".join(p.to_bytes(nbytes, "little") for p in self._planes)
         return nbytes, columns, planes

@@ -12,11 +12,7 @@ Two execution engines implement the identical match condition:
   horizontal :class:`~repro.scw.index.SecondaryIndexFile` records;
 * ``mode="bitsliced"`` (the default) — the columnar
   :class:`~repro.scw.bitsliced.BitSlicedIndex`, whose big-integer column
-  ANDs model the PLA matcher's data-parallelism in real wall clock;
-* ``mode="vector"`` — the same columns as C-contiguous ``uint64`` word
-  arrays (:class:`~repro.scw.vector.VectorSlicedIndex`): numpy-vectorised
-  AND/OR reductions when numpy imports, a per-word ``array('Q')``
-  fallback when it does not.
+  ANDs model the PLA matcher's data-parallelism in real wall clock.
 
 Both report the same simulated SCW+MB scan time (the whole secondary
 file streams past the matcher either way); only the host-side cost
@@ -96,10 +92,8 @@ class FirstStageFilter:
     ):
         if scan_rate_bytes_per_sec <= 0:
             raise ValueError("scan rate must be positive")
-        if mode not in ("bitsliced", "vector", "naive"):
-            raise ValueError(
-                "FS1 mode must be 'bitsliced', 'vector' or 'naive'"
-            )
+        if mode not in ("bitsliced", "naive"):
+            raise ValueError("FS1 mode must be 'bitsliced' or 'naive'")
         self.scheme = scheme
         self.scan_rate = scan_rate_bytes_per_sec
         self.mode = mode
@@ -147,14 +141,6 @@ class FirstStageFilter:
                 self.obs.counter("fs1.bitsliced.columns_touched").inc(
                     columns_touched
                 )
-            elif self.mode == "vector":
-                addresses, columns_touched = index.vector.scan_info(
-                    query_codeword
-                )
-                self.obs.counter("fs1.vector.scans").inc()
-                self.obs.counter("fs1.vector.columns_touched").inc(
-                    columns_touched
-                )
             else:
                 addresses = index.scan(query_codeword)
             result = self._result(index, addresses)
@@ -192,14 +178,6 @@ class FirstStageFilter:
                 )
                 self.obs.counter("fs1.bitsliced.scans").inc(len(queries))
                 self.obs.counter("fs1.bitsliced.columns_touched").inc(
-                    columns_touched
-                )
-            elif self.mode == "vector":
-                address_lists, columns_touched = index.vector.scan_batch(
-                    codewords
-                )
-                self.obs.counter("fs1.vector.scans").inc(len(queries))
-                self.obs.counter("fs1.vector.columns_touched").inc(
                     columns_touched
                 )
             else:

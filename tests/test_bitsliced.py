@@ -199,8 +199,9 @@ class TestFirstStageFilterModes:
         assert batched == [bitsliced.search(index, q) for q in queries]
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            FirstStageFilter(SCHEME, mode="quantum")
+        for mode in ("quantum", "vector"):
+            with pytest.raises(ValueError):
+                FirstStageFilter(SCHEME, mode=mode)
 
     def test_scheme_mismatch_is_typed(self):
         index = build_index([read_term("p(a, 1, x)")])
@@ -249,6 +250,44 @@ class TestBitSlicedIndexDirect:
         )
         codeword = SCHEME.query_codeword(read_term("p(a, 1, x)"))
         assert index.bitsliced.scan(codeword) == [0, 32, 64, 96, 128]
+
+
+class TestWordBoundaries:
+    """Populations either side of a byte and a 64-bit word boundary."""
+
+    QUERIES = ("p(a1, Y, Z)", "p(X, Y, Z)", "p(a3, 3, x)", "p(a2, Y, x)")
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65, 127, 128, 129])
+    def test_scans_match_naive(self, count):
+        index = build_index(
+            [read_term(f"p(a{i % 7}, {i}, x)") for i in range(count)]
+        )
+        codewords = [SCHEME.query_codeword(read_term(q)) for q in self.QUERIES]
+        naive = [index.scan(cw) for cw in codewords]
+        sliced = index.bitsliced
+        assert [sliced.scan(cw) for cw in codewords] == naive
+        assert [list(sliced.iter_scan(cw)) for cw in codewords] == naive
+        assert sliced.scan_batch(codewords)[0] == naive
+
+        column_bytes, columns, planes = sliced.packed_columns()
+        assert column_bytes == (count + 7) // 8
+        rebuilt = BitSlicedIndex.from_packed(
+            SCHEME, [e.address for e in index], column_bytes, columns, planes
+        )
+        assert [rebuilt.scan(cw) for cw in codewords] == naive
+
+    def test_attached_index_thaws_on_append(self):
+        """An index rebuilt from its packed image accepts further adds."""
+        index = build_index([read_term(f"p(a{i}, {i}, x)") for i in range(8)])
+        column_bytes, columns, planes = index.bitsliced.packed_columns()
+        attached = BitSlicedIndex.from_packed(
+            SCHEME, [i * 32 for i in range(8)], column_bytes, columns, planes
+        )
+        head = read_term("p(fresh, 99, x)")
+        attached.add(SCHEME.clause_codeword(head), 256)
+        index.add(head, 256)
+        codeword = SCHEME.query_codeword(read_term("p(fresh, Y, Z)"))
+        assert attached.scan(codeword) == index.scan(codeword) == [256]
 
 
 class TestLazyEnumeration:

@@ -1,6 +1,9 @@
 """Tests for the command-line driver."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -400,3 +403,30 @@ class TestNetCommands:
         assert "retract parent(zeus, ares): false" in again.getvalue()
         thread.join(timeout=20)
         assert not thread.is_alive()
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_only_stdlib_and_repro(self):
+        """``import repro.cli`` (what every ``serve`` process pays) pulls
+        in no third-party package, so none costs startup time or RSS."""
+        probe = (
+            "import sys; before = set(sys.modules); import repro.cli; "
+            "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout.split()
+        foreign = [
+            name for name in loaded
+            if name != "repro" and name not in sys.stdlib_module_names
+        ]
+        assert foreign == []
+
+    @pytest.mark.parametrize("command", ["consult", "stats", "serve"])
+    def test_fs1_mode_choices(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "kb.pl", "--fs1-mode", "vector"])
+        assert "choose from 'bitsliced', 'naive'" in capsys.readouterr().err

@@ -9,6 +9,8 @@ payloads) must surface as :class:`ProtocolError`, never as garbage
 objects or low-level struct/index errors.
 """
 
+import random
+
 import pytest
 
 from repro.cluster import MergedRetrievalStats
@@ -278,6 +280,64 @@ class TestPayloadCorruption:
         payload[0:4] = (2**32 - 1).to_bytes(4, "big")
         with pytest.raises(ProtocolError):
             protocol.decode_result_response(bytes(payload))
+
+    @staticmethod
+    def mutation_seeds():
+        rule = Clause(
+            head=read_term("g(X, f(Y, [1, 2]), 'a b')"),
+            body=(read_term("p(X, Y)"), read_term("q(Y, 3.5)")),
+        )
+        result = RetrievalResult(
+            goal=read_term("g(A, f(B, C), D)"),
+            candidates=[rule, Clause(head=read_term("g(a, f(b, []), c)"))],
+            stats=sample_stats(),
+        )
+        return {
+            "result": (
+                protocol.encode_result_response(result),
+                protocol.decode_result_response,
+            ),
+            "batch": (
+                protocol.encode_batch_response([result, result]),
+                protocol.decode_batch_response,
+            ),
+            "mutated": (
+                protocol.encode_mutated_response(7, True, rule),
+                protocol.decode_mutated_response,
+            ),
+            "solution": (
+                protocol.encode_solution(
+                    1, {"X": read_term("f(a, [b])"), "Y": read_term("g(Z)")}
+                ),
+                protocol.decode_solution,
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["result", "batch", "mutated", "solution"])
+    def test_byte_mutations_decode_or_raise_protocol_error(self, kind):
+        """Flipped, inserted and truncated bytes: a value or ProtocolError."""
+        payload, decode = self.mutation_seeds()[kind]
+        decode(payload)
+        rng = random.Random(0)
+        rejected = 0
+        for _ in range(1_000):
+            mutant = bytearray(payload)
+            for _ in range(rng.randint(1, 4)):
+                position = rng.randrange(len(mutant))
+                roll = rng.random()
+                if roll < 0.6:
+                    mutant[position] = rng.randrange(256)
+                elif roll < 0.8:
+                    del mutant[position:]
+                else:
+                    mutant.insert(position, rng.randrange(256))
+                if not mutant:
+                    break
+            try:
+                decode(bytes(mutant))
+            except ProtocolError:
+                rejected += 1
+        assert rejected > 0
 
     def test_error_payload_round_trip(self):
         payload = protocol.encode_error(

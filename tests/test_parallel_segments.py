@@ -9,13 +9,19 @@ stats* cannot be told apart from one over the original knowledge base.
 """
 
 import dataclasses
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crs import ClauseRetrievalServer, SearchMode
-from repro.parallel import SharedKnowledgeBase, attach_kb, write_segments
+from repro.parallel import (
+    SegmentError,
+    SharedKnowledgeBase,
+    attach_kb,
+    write_segments,
+)
 from repro.storage import KnowledgeBase, Residency
 from repro.terms import Atom, Clause, Struct, Var, read_term
 from tests.strategies import clause_heads
@@ -125,6 +131,81 @@ class TestIndexFidelity:
         index = shared.store(("edge", 2)).index
         with pytest.raises(TypeError):
             index.add(Struct("edge", (Atom("x"), Atom("y"))), 0)
+
+
+BIG_PROGRAM = " ".join(f"fact(k{i % 17}, {i}, v{i % 5})." for i in range(300))
+
+
+def segment_file(directory, suffix: str):
+    (path,) = directory.glob(f"*.{suffix}")
+    return path
+
+
+class TestMultiByteColumns:
+    def test_300_fact_predicate_scans_like_the_builder(self, tmp_path):
+        kb = build_kb(BIG_PROGRAM)
+        write_segments(kb, tmp_path)
+        shared = attach_kb(tmp_path)
+        try:
+            original = kb.store(("fact", 3)).index
+            attached = shared.store(("fact", 3)).index
+            for text in ("fact(k3, X, Y)", "fact(X, 42, Y)", "fact(k1, X, v1)"):
+                codeword = original.scheme.query_codeword(read_term(text))
+                expected = original.scan(codeword)
+                assert attached.bitsliced.scan(codeword) == expected
+                assert attached.scan(codeword) == expected
+        finally:
+            shared.close()
+
+
+class TestMalformedSegments:
+    """A damaged segment fails at attach with a typed error, not mid-scan."""
+
+    @pytest.fixture()
+    def segment(self, tmp_path):
+        write_segments(build_kb(BIG_PROGRAM), tmp_path)
+        return tmp_path
+
+    def test_truncated_cols_rejected(self, segment):
+        cols = segment_file(segment, "cols")
+        image = cols.read_bytes()
+        cols.write_bytes(image[: len(image) // 2])
+        with pytest.raises(SegmentError, match="cols"):
+            attach_kb(segment)
+
+    def test_cols_header_only_rejected(self, segment):
+        cols = segment_file(segment, "cols")
+        cols.write_bytes(cols.read_bytes()[:6])
+        with pytest.raises(SegmentError, match="truncated header"):
+            attach_kb(segment)
+
+    def test_column_count_must_match_scheme_width(self, segment):
+        cols = segment_file(segment, "cols")
+        image = bytearray(cols.read_bytes())
+        entries, nbytes, n_columns, n_planes = struct.unpack_from("<IIII", image)
+        # Move one column into the planes: the body length still adds up.
+        struct.pack_into("<IIII", image, 0, entries, nbytes, n_columns - 1,
+                         n_planes + 1)
+        cols.write_bytes(bytes(image))
+        with pytest.raises(SegmentError, match="scheme width"):
+            attach_kb(segment)
+
+    def test_column_width_must_match_entry_count(self, segment):
+        cols = segment_file(segment, "cols")
+        image = bytearray(cols.read_bytes())
+        entries, nbytes, n_columns, n_planes = struct.unpack_from("<IIII", image)
+        struct.pack_into("<IIII", image, 0, entries, nbytes // 2, n_columns * 2,
+                         n_planes * 2)
+        cols.write_bytes(bytes(image))
+        with pytest.raises(SegmentError, match="byte columns"):
+            attach_kb(segment)
+
+    @pytest.mark.parametrize("suffix", ["addr", "index"])
+    def test_truncated_tables_rejected(self, segment, suffix):
+        path = segment_file(segment, suffix)
+        path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(SegmentError, match=suffix):
+            attach_kb(segment)
 
 
 def result_fingerprint(result):
